@@ -43,7 +43,7 @@ PF_FUZZ_ITERS="$FUZZ_ITERS" \
 # alone would not surface. Build a separate sanitized tree (PF_SANITIZE
 # plumbs into -fsanitize=) and run exactly the suites that drive both
 # backends over the same grids/populations. PF_SKIP_SANITIZE=1 opts out
-# (e.g. toolchains without libasan).
+# of every sanitizer stage (e.g. toolchains without libasan/libtsan).
 if [[ "${PF_SKIP_SANITIZE:-0}" != "1" ]]; then
   SAN_BUILD="${BUILD}-asan"
   echo "== backend A/B under sanitizers (${SAN_BUILD}, address,undefined)"
@@ -62,6 +62,19 @@ if [[ "${PF_SKIP_SANITIZE:-0}" != "1" ]]; then
   PF_FUZZ_ITERS="$FUZZ_ITERS" \
     ctest --test-dir "$SAN_BUILD" --output-on-failure -j "$JOBS" \
     -R 'Search|FuzzSearch'
+
+  # Threaded code under TSan: the parallel sweep engine, the completion
+  # search's candidate fan-out (workers race to commit the lowest accepted
+  # candidate and abandon the ones beyond it), cooperative cancellation,
+  # the sweep server's job workers and the campaign runner that hands its
+  # policy to those searches.
+  TSAN_BUILD="${BUILD}-tsan"
+  echo "== threaded suites under TSan (${TSAN_BUILD}, thread)"
+  cmake -B "$TSAN_BUILD" -S . -DPF_SANITIZE=thread >/dev/null
+  cmake --build "$TSAN_BUILD" -j "$JOBS" \
+    --target test_analysis test_service test_campaign
+  ctest --test-dir "$TSAN_BUILD" --output-on-failure -j "$JOBS" \
+    -R 'ParallelSweep|ParallelCompletion|ParallelTable1|SweepCancellation|SweepServer|Campaign'
 fi
 
 echo "== ci gate passed"

@@ -26,9 +26,12 @@ struct CompletionSpec {
   std::vector<double> probe_u;       ///< floating voltages it must cover
   int max_prefix_ops = 3;
   /// Execution of the probe experiments: exec.retry is the per-probe solver
-  /// retry/backoff; exec.threads > 1 evaluates each candidate's probe grid
-  /// in parallel (the verdict — accepted, rejected, completed FP — is
-  /// thread-count independent; journal/record_failures are ignored here).
+  /// retry/backoff; exec.threads > 1 judges that many candidates (whole
+  /// prefixes) at once, each worker running its candidate's probes
+  /// serially with the early exit. The lowest accepted candidate wins, as
+  /// in a serial run, and work beyond it is discarded, so with no armed
+  /// fault injection the result is thread-count independent
+  /// (journal/record_failures are ignored here).
   /// `exec.cancel` aborts the search with pf::CancelledError.
   ExecutionPolicy exec;
 };
@@ -37,10 +40,11 @@ struct CompletionResult {
   bool possible = false;
   faults::FaultPrimitive completed;  ///< base with the completing bracket
   int candidates_evaluated = 0;
-  /// Electrical experiments performed. Exact for serial runs; with
-  /// exec.threads > 1 probes already in flight when a candidate is
-  /// rejected still count, so the tally may differ slightly between
-  /// thread counts (the verdict never does).
+  /// Electrical experiments performed by the candidates up to and
+  /// including the accepted one; probes of candidates past it never count,
+  /// so with no armed fault injection the tally is the serial run's at any
+  /// thread count. Across solver backends only the verdict is guaranteed
+  /// to match.
   uint64_t sos_runs = 0;
   /// Probe experiments unsolved after retries. The search degrades
   /// gracefully: an unsolvable probe rejects the candidate (a completion

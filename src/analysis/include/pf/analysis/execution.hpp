@@ -77,8 +77,9 @@ struct EnginePlan {
 struct ExecutionPolicy {
   /// Worker threads for grid dispatch: 1 (default) runs serially on the
   /// calling thread, 0 resolves to the hardware thread count, N > 1 uses a
-  /// fixed pool of N workers. Any thread count produces bit-identical
-  /// results; threads only change wall-clock time.
+  /// fixed pool of N workers, negative counts run serially. Any thread
+  /// count produces bit-identical results; threads only change wall-clock
+  /// time.
   int threads = 1;
 
   /// Per-experiment solver retry/backoff (see pf/analysis/robust.hpp).
@@ -136,8 +137,8 @@ struct ExecutionPolicy {
   double deadline_seconds = 0.0;
 };
 
-/// The worker count `threads` resolves to (0 -> hardware concurrency,
-/// never below 1).
+/// The worker count `threads` resolves to: N > 0 -> N, 0 -> hardware
+/// concurrency (1 when unknown), negative -> 1.
 int resolve_worker_count(int threads);
 
 /// The effective EnginePlan of a policy: `policy.plan`, validated.

@@ -51,9 +51,10 @@ struct Table1Options {
   double r_min_wordline = 100e3;
   double r_max_wordline = 1e9;
 
-  /// Execution of the underlying sweeps and completion probes: exec.threads
-  /// workers per sweep/probe grid (Table 1 rows are thread-count
-  /// independent), exec.retry for every experiment, failed grid points
+  /// Execution of generate_table1's sweeps and completion searches:
+  /// exec.threads workers per sweep grid and per search, which splits over
+  /// candidate prefixes (Table 1 rows are thread-count independent),
+  /// exec.retry for every experiment, failed grid points
   /// degrading to Ffm::kSolveFailed cells (never classified as FFMs), and
   /// unsolvable completion probes rejecting candidates instead of aborting
   /// the catalogue. `exec.journal_path` is used as a path *prefix* here —
@@ -61,6 +62,9 @@ struct Table1Options {
   /// sweep's points individually. `exec.cancel` / `exec.deadline_seconds`
   /// bound the whole catalogue: the deadline is armed once on the token's
   /// shared state, so every sweep and completion probe shares one budget.
+  /// campaign::table1_campaign runs everything under the campaign's own
+  /// policy instead and reads only exec.threads (its sweep jobs' wire
+  /// JobSpec::threads, honoured in socket mode).
   ExecutionPolicy exec;
 };
 

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <exception>
 #include <memory>
+#include <string>
 
 #include "pf/spice/fault_injection.hpp"
 #include "pf/util/log.hpp"
@@ -99,7 +101,6 @@ void enumerate_prefixes(int len, int required_state,
 CompletionResult search_completing_ops(const CompletionSpec& spec) {
   PF_CHECK_MSG(!spec.probe_r.empty() && !spec.probe_u.empty(),
                "completion search needs probe rows and voltages");
-  CompletionResult result;
   const ExecutionPolicy& policy = spec.exec;
   const EnginePlan plan = resolved_plan(policy);
   const ParallelGridRunner runner(policy);
@@ -136,116 +137,132 @@ CompletionResult search_completing_ops(const CompletionSpec& spec) {
       session = std::make_unique<SosSession>(prototype->clone());
     return *session;
   };
-  // Batched backend: probes fan out one probe-R row at a time, all probe-U
-  // lanes advancing in lockstep (resolved_plan guarantees kReuse). The
-  // verdict predicate is identical; only the run/failure tallies may differ
-  // from the scalar backend's early-exit counts.
+  // Batched backend: a candidate's probes advance one probe-R row at a
+  // time, all probe-U lanes in lockstep (resolved_plan guarantees kReuse),
+  // unsolved lanes falling back to the scalar robust path. The verdict
+  // predicate is identical to the scalar backend's.
   const spice::SimOptions attempt1 =
       tightened_sim_options(probe_params.sim, policy.retry, 1);
   const bool batch_rows = plan.backend == spice::SolverBackend::kBatched &&
                           attempt1.max_wall_seconds <= 0.0;
 
-  for (int len = 1; len <= spec.max_prefix_ops; ++len) {
-    std::vector<Candidate> candidates;
+  std::vector<Candidate> candidates;
+  for (int len = 1; len <= spec.max_prefix_ops; ++len)
     enumerate_prefixes(len, entry_state, candidates);
-    for (const Candidate& cand : candidates) {
-      ++result.candidates_evaluated;
-      Sos sos;
-      sos.initial_victim = cand.keeps_init ? base.initial_victim : -1;
-      sos.initial_aggressor = base.initial_aggressor;
-      sos.ops = cand.prefix;
-      sos.ops.insert(sos.ops.end(), base.ops.begin(), base.ops.end());
+  const auto candidate_sos = [&](const Candidate& cand) {
+    Sos sos;
+    sos.initial_victim = cand.keeps_init ? base.initial_victim : -1;
+    sos.initial_aggressor = base.initial_aggressor;
+    sos.ops = cand.prefix;
+    sos.ops.insert(sos.ops.end(), base.ops.begin(), base.ops.end());
+    return sos;
+  };
 
-      // The candidate is accepted iff it reproduces the base <F, R> at
-      // EVERY probe point — an order-independent predicate, so the probe
-      // grid fans out over the worker pool. `rejected` cancels the probes
-      // still pending (serial runs reproduce PR 1's early-exit counts
-      // exactly; parallel runs may charge a few in-flight extras).
-      std::atomic<bool> rejected{false};
-      std::atomic<uint64_t> runs{0};
-      std::atomic<uint64_t> failures{0};
-      const size_t n_u = spec.probe_u.size();
-      const auto scalar_probe = [&](double r, double u, int worker) {
-        dram::Defect defect = spec.defect;
-        defect.resistance = r;
-        ExperimentContext ctx;
-        ctx.key = completion_key(r, u);
-        ctx.defect = dram::defect_name(spec.defect);
-        ctx.line = line.label;
-        ctx.r_def = r;
-        ctx.u = u;
-        ctx.sos = sos.to_string();
-        if (prototype != nullptr)
-          return run_sos_robust(session_for(worker), probe_params.sim, defect,
-                                &line, u, sos, policy.retry, ctx,
-                                is_state_fault);
-        return run_sos_robust(probe_params, defect, &line, u, sos,
-                              policy.retry, ctx, is_state_fault);
-      };
-      const auto judge = [&](const SosOutcome& out) {
-        if (!out.faulty ||
-            out.final_state != spec.base.faulty_state ||
-            out.read_result != spec.base.read_result)
-          rejected.store(true, std::memory_order_relaxed);
-      };
-      if (batch_rows) {
-        runner.run(spec.probe_r.size(), [&](size_t k, int worker) {
-          if (rejected.load(std::memory_order_relaxed)) return;
-          const double r = spec.probe_r[k];
-          std::vector<SosSession::LaneOutcome> lanes;
-          const bool lockstep = !spice::testing::armed();
-          if (lockstep)
-            lanes = session_for(worker).run_batch(r, attempt1, &line,
-                                                  spec.probe_u, sos,
-                                                  is_state_fault);
-          for (size_t j = 0; j < n_u; ++j) {
-            if (rejected.load(std::memory_order_relaxed)) return;
-            runs.fetch_add(1, std::memory_order_relaxed);
-            if (lockstep && lanes[j].solved) {
-              judge(lanes[j].outcome);
-              continue;
-            }
-            const RobustOutcome ro = scalar_probe(r, spec.probe_u[j], worker);
-            if (!ro.solved) {
-              failures.fetch_add(1, std::memory_order_relaxed);
-              rejected.store(true, std::memory_order_relaxed);
-              return;
-            }
-            judge(ro.outcome);
-          }
-        });
-      } else {
-        runner.run(spec.probe_r.size() * n_u, [&](size_t k, int worker) {
-          if (rejected.load(std::memory_order_relaxed)) return;
-          const double r = spec.probe_r[k / n_u];
-          const double u = spec.probe_u[k % n_u];
-          runs.fetch_add(1, std::memory_order_relaxed);
-          const RobustOutcome ro = scalar_probe(r, u, worker);
-          if (!ro.solved) {
-            // An unsolvable probe cannot demonstrate the completion; reject
-            // the candidate and keep searching instead of aborting the
-            // whole catalogue run.
-            failures.fetch_add(1, std::memory_order_relaxed);
-            rejected.store(true, std::memory_order_relaxed);
-            return;
-          }
-          judge(ro.outcome);
-        });
-      }
-      result.sos_runs += runs.load();
-      result.solver_failures += failures.load();
-      if (!rejected.load()) {
-        result.possible = true;
-        result.completed.sos = sos;
-        result.completed.faulty_state = spec.base.faulty_state;
-        result.completed.read_result = spec.base.read_result;
-        PF_LOG_INFO("completed " << spec.base.to_string() << " as "
-                                 << result.completed.to_string() << " after "
-                                 << result.candidates_evaluated
-                                 << " candidates");
-        return result;
-      }
+  // The search fans out over whole candidates: each worker judges its
+  // candidate's probes serially with the early exit, and the serial answer
+  // is the lowest accepted index. `decided` is the lowest index known to
+  // end a serial run (accepted, or thrown); candidates beyond it are
+  // skipped or abandoned mid-probe, and their tallies never count — so
+  // every CompletionResult field matches the serial run.
+  struct Verdict {
+    uint64_t runs = 0;
+    uint64_t failures = 0;
+    std::exception_ptr error;
+  };
+  std::vector<Verdict> verdicts(candidates.size());
+  std::atomic<size_t> decided{candidates.size()};
+  const auto decide = [&](size_t index) {
+    size_t current = decided.load();
+    while (index < current && !decided.compare_exchange_weak(current, index)) {
     }
+  };
+  const auto superseded = [&](size_t index) {
+    return index > decided.load(std::memory_order_relaxed);
+  };
+
+  runner.run(candidates.size(), [&](size_t index, int worker) {
+    if (superseded(index)) return;
+    const Sos sos = candidate_sos(candidates[index]);
+    const std::string sos_text = sos.to_string();
+    Verdict& verdict = verdicts[index];
+    const auto scalar_probe = [&](double r, double u) {
+      dram::Defect defect = spec.defect;
+      defect.resistance = r;
+      ExperimentContext ctx;
+      ctx.key = completion_key(r, u);
+      ctx.defect = dram::defect_name(spec.defect);
+      ctx.line = line.label;
+      ctx.r_def = r;
+      ctx.u = u;
+      ctx.sos = sos_text;
+      if (prototype != nullptr)
+        return run_sos_robust(session_for(worker), probe_params.sim, defect,
+                              &line, u, sos, policy.retry, ctx,
+                              is_state_fault);
+      return run_sos_robust(probe_params, defect, &line, u, sos, policy.retry,
+                            ctx, is_state_fault);
+    };
+    // The candidate is accepted iff it reproduces the base <F, R> at EVERY
+    // probe point. An unsolvable probe cannot demonstrate the completion:
+    // it rejects the candidate instead of aborting the whole search.
+    const auto matches = [&](const SosOutcome& out) {
+      return out.faulty && out.final_state == spec.base.faulty_state &&
+             out.read_result == spec.base.read_result;
+    };
+    const auto judge = [&]() -> bool {
+      for (const double r : spec.probe_r) {
+        std::vector<SosSession::LaneOutcome> lanes;
+        const bool lockstep = batch_rows && !spice::testing::armed();
+        if (lockstep)
+          lanes = session_for(worker).run_batch(r, attempt1, &line,
+                                                spec.probe_u, sos,
+                                                is_state_fault);
+        for (size_t j = 0; j < spec.probe_u.size(); ++j) {
+          if (superseded(index)) return false;
+          ++verdict.runs;
+          if (lockstep && lanes[j].solved) {
+            if (!matches(lanes[j].outcome)) return false;
+            continue;
+          }
+          const RobustOutcome ro = scalar_probe(r, spec.probe_u[j]);
+          if (!ro.solved) {
+            ++verdict.failures;
+            return false;
+          }
+          if (!matches(ro.outcome)) return false;
+        }
+      }
+      return true;
+    };
+    try {
+      if (judge()) decide(index);
+    } catch (const pf::CancelledError&) {
+      throw;
+    } catch (...) {
+      // Rethrown below only if no lower candidate ends the serial run first.
+      verdict.error = std::current_exception();
+      decide(index);
+    }
+  });
+
+  const size_t winner = decided.load();  // candidates.size(): none
+  const size_t evaluated = std::min(winner + 1, candidates.size());
+  CompletionResult result;
+  result.candidates_evaluated = static_cast<int>(evaluated);
+  for (size_t i = 0; i < evaluated; ++i) {
+    result.sos_runs += verdicts[i].runs;
+    result.solver_failures += verdicts[i].failures;
+  }
+  if (winner < candidates.size()) {
+    if (verdicts[winner].error) std::rethrow_exception(verdicts[winner].error);
+    result.possible = true;
+    result.completed.sos = candidate_sos(candidates[winner]);
+    result.completed.faulty_state = spec.base.faulty_state;
+    result.completed.read_result = spec.base.read_result;
+    PF_LOG_INFO("completed " << spec.base.to_string() << " as "
+                             << result.completed.to_string() << " after "
+                             << result.candidates_evaluated << " candidates");
+    return result;
   }
   PF_LOG_INFO("no completing operations for " << spec.base.to_string()
                                               << " (not possible)");

@@ -35,6 +35,7 @@ EnginePlan resolved_plan(const ExecutionPolicy& policy) {
 
 int resolve_worker_count(int threads) {
   if (threads > 0) return threads;
+  if (threads < 0) return 1;
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<int>(hw);
 }

@@ -32,8 +32,9 @@ namespace pf::campaign {
 /// ("open{N}-analysis") depending on that site's sweeps — it identifies the
 /// partial faults and runs the completion searches, exactly like the
 /// matching slice of generate_table1. Sites/grid/ranges come from
-/// `options`; options.exec drives the completion probes inside the analysis
-/// jobs (the sweeps themselves run under CampaignOptions::exec).
+/// `options`; execution — sweeps and completion searches alike — follows
+/// CampaignOptions::exec (options.exec.threads only fills the sweep jobs'
+/// JobSpec::threads, which a pf_served honours in socket mode).
 CampaignSpec table1_campaign(const analysis::Table1Options& options = {});
 
 /// Reassemble Table1Rows from a finished table1_campaign run. Byte-identical
@@ -54,14 +55,12 @@ struct CompletionCampaignOptions {
   size_t probe_u_points = 5;
   int max_prefix_ops = 3;
   size_t fallback_windows = 4;
-  /// Exec for the completion probes (the base-map sweep runs under
-  /// CampaignOptions::exec).
-  analysis::ExecutionPolicy exec;
 };
 
 /// Completion search as a two-job campaign: "base-map" (the sweep whose
 /// region map seeds the search) and "completion" (a custom job running
-/// search_completing_ops_with_fallback on the reconstructed map).
+/// search_completing_ops_with_fallback on the reconstructed map). Both run
+/// under CampaignOptions::exec.
 CampaignSpec completion_campaign(const service::JobSpec& sweep,
                                  const CompletionCampaignOptions& options);
 

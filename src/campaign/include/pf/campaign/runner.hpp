@@ -21,11 +21,13 @@
 //     job to job through an analysis::SessionCache, snapshot cache intact.
 //
 // Jobs are dispatched in deterministic topological order, one at a time —
-// per-job parallelism comes from ExecutionPolicy::threads inside
-// sweep_region, which keeps the journal order and every result
-// bit-identical run to run. With a socket_path configured, sweep jobs are
-// instead submitted to a running pf_served (absorbing busy rejections via
-// submit_job_wait); custom jobs always run in-process.
+// per-job parallelism comes from the campaign's ExecutionPolicy::threads:
+// inside sweep_region for sweep jobs, and inside the completion searches
+// that custom jobs run under DepContext::exec() (split over candidates).
+// That keeps the journal order and every result bit-identical run to run.
+// With a socket_path configured, sweep jobs are instead submitted to a
+// running pf_served (absorbing busy rejections via submit_job_wait);
+// custom jobs always run in-process.
 #pragma once
 
 #include <functional>
@@ -102,10 +104,12 @@ struct CampaignOptions {
   bool retry_failed = false;
 
   /// The one ExecutionPolicy every local sweep job runs under (threads,
-  /// solver retry, engine plan, cancellation, deadline). Job-level wire
-  /// knobs (JobSpec::threads etc.) apply only in socket mode, where the
-  /// server owns execution. The policy's cancel/deadline bound the WHOLE
-  /// campaign (first-arm-wins, like generate_table1's multi-sweep budget).
+  /// solver retry, engine plan, cancellation, deadline), also handed to
+  /// custom jobs as DepContext::exec() — the producers' completion searches
+  /// run under it. Job-level wire knobs (JobSpec::threads etc.) apply only
+  /// in socket mode, where the server owns execution. The policy's
+  /// cancel/deadline bound the WHOLE campaign, custom jobs included
+  /// (first-arm-wins, like generate_table1's multi-sweep budget).
   analysis::ExecutionPolicy exec;
 
   /// Bounded per-job retry: total attempts per job (>= 1) and the backoff

@@ -28,6 +28,7 @@
 #include <string>
 #include <vector>
 
+#include "pf/analysis/execution.hpp"
 #include "pf/analysis/region.hpp"
 #include "pf/service/job.hpp"
 #include "pf/service/json.hpp"
@@ -45,6 +46,10 @@ class DepContext {
   /// The payload of a CUSTOM dependency (what its function returned).
   /// Throws pf::Error for an id that is not a declared custom dependency.
   virtual const service::Json& payload(const std::string& job_id) const = 0;
+  /// The campaign's one ExecutionPolicy (CampaignOptions::exec): threads,
+  /// solver retry, engine plan, cancellation token and deadline for the
+  /// experiments a job runs itself, e.g. a completion search.
+  virtual const analysis::ExecutionPolicy& exec() const = 0;
 };
 
 /// Body of a custom job. The returned JSON is the job's result: journaled

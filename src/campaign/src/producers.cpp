@@ -90,6 +90,15 @@ analysis::Table1Row row_from_json(const Json& json) {
   return row;
 }
 
+/// The policy a custom job's completion search runs under: the campaign's
+/// own (threads, retry, plan, cancellation, deadline); probes are not
+/// journaled.
+analysis::ExecutionPolicy completion_policy(const DepContext& ctx) {
+  analysis::ExecutionPolicy exec = ctx.exec();
+  exec.journal_path.clear();
+  return exec;
+}
+
 /// One site's slice of generate_table1's analysis: identify the partial
 /// faults on every (line, SOS) map, dedup per (FFM, line label) — the
 /// original dedups on (FFM, site, line label) over a global row list, which
@@ -143,8 +152,7 @@ Json analyze_site(const DepContext& ctx, OpenSite site,
         cspec.probe_u = pf::linspace(lines[li].min_v, lines[li].max_v,
                                      options.probe_u_points);
         cspec.max_prefix_ops = options.max_prefix_ops;
-        cspec.exec = options.exec;
-        cspec.exec.journal_path.clear();  // probes are not journaled
+        cspec.exec = completion_policy(ctx);
         const analysis::CompletionResult comp =
             analysis::search_completing_ops_with_fallback(
                 cspec, map, finding.ffm, /*rows_per_window=*/1,
@@ -275,8 +283,7 @@ CampaignSpec completion_campaign(const service::JobSpec& sweep,
     cspec.probe_u = pf::linspace(line.min_v, line.max_v,
                                  opts.probe_u_points);
     cspec.max_prefix_ops = opts.max_prefix_ops;
-    cspec.exec = opts.exec;
-    cspec.exec.journal_path.clear();
+    cspec.exec = completion_policy(ctx);
     const analysis::CompletionResult comp =
         analysis::search_completing_ops_with_fallback(
             cspec, map, opts.ffm, /*rows_per_window=*/1,

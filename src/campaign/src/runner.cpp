@@ -378,6 +378,10 @@ class Runner {
         return runner_.result_.jobs.at(job_id).detail.get("payload");
       }
 
+      const analysis::ExecutionPolicy& exec() const override {
+        return runner_.exec_;
+      }
+
      private:
       const CampaignJob& dep_job(const std::string& job_id,
                                  CampaignJob::Kind kind) const {

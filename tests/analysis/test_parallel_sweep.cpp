@@ -240,22 +240,50 @@ TEST(ParallelSweep, RecordFailuresOffStillThrowsUnderThreads) {
   }
 }
 
-TEST(ParallelCompletion, VerdictIndependentOfThreadCount) {
-  CompletionSpec spec;
-  spec.params = DramParams{};
-  spec.defect = Defect::open(OpenSite::kBitLineOuter, 1e6);
-  spec.base = faults::FaultPrimitive::parse("<1r1/0/0>");
-  spec.probe_r = {10e6};
-  spec.probe_u = pf::linspace(0.0, 3.3, 4);
-  spec.max_prefix_ops = 1;
+void expect_same_completion(const CompletionResult& a,
+                            const CompletionResult& b, int threads) {
+  EXPECT_EQ(a.possible, b.possible) << threads << " threads";
+  EXPECT_EQ(a.completed.to_string(), b.completed.to_string())
+      << threads << " threads";
+  EXPECT_EQ(a.candidates_evaluated, b.candidates_evaluated)
+      << threads << " threads";
+  EXPECT_EQ(a.sos_runs, b.sos_runs) << threads << " threads";
+  EXPECT_EQ(a.solver_failures, b.solver_failures) << threads << " threads";
+}
 
-  const CompletionResult serial = search_completing_ops(spec);
-  spec.exec.threads = 4;
-  const CompletionResult parallel = search_completing_ops(spec);
-  ASSERT_EQ(parallel.possible, serial.possible);
-  EXPECT_EQ(parallel.candidates_evaluated, serial.candidates_evaluated);
-  if (serial.possible) {
-    EXPECT_EQ(parallel.completed.to_string(), serial.completed.to_string());
+TEST(ParallelCompletion, VerdictIndependentOfThreadCount) {
+  // Candidates are judged in parallel, but the result — tallies included —
+  // is the serial run's: work speculated past the winner is discarded.
+  CompletionSpec completable;
+  completable.params = DramParams{};
+  completable.defect = Defect::open(OpenSite::kBitLineOuter, 1e6);
+  completable.base = faults::FaultPrimitive::parse("<1r1/0/0>");
+  completable.probe_r = {10e6};
+  completable.probe_u = pf::linspace(0.0, 3.3, 4);
+  completable.max_prefix_ops = 1;
+
+  // Open 9: exhaustive "Not possible" over every prefix up to #O = 2.
+  CompletionSpec exhaustive;
+  exhaustive.params = DramParams{};
+  exhaustive.defect = Defect::open(OpenSite::kWordLine, 1e9);
+  exhaustive.base = faults::FaultPrimitive::parse("<0/1/->");
+  exhaustive.probe_r = {1e9};
+  exhaustive.probe_u = {0.0, DramParams{}.vpp};
+  exhaustive.max_prefix_ops = 2;
+
+  const CompletionResult won = search_completing_ops(completable);
+  ASSERT_TRUE(won.possible);
+  EXPECT_EQ(won.completed.to_string(), "<1v [w0BL] r1v/0/0>");
+  EXPECT_GT(won.candidates_evaluated, 1);  // the winner is not candidate 0
+  const CompletionResult lost = search_completing_ops(exhaustive);
+  ASSERT_FALSE(lost.possible);
+  EXPECT_GT(lost.candidates_evaluated, 4);
+
+  for (const int threads : {1, 2, 4, 8}) {
+    completable.exec.threads = threads;
+    exhaustive.exec.threads = threads;
+    expect_same_completion(search_completing_ops(completable), won, threads);
+    expect_same_completion(search_completing_ops(exhaustive), lost, threads);
   }
 }
 

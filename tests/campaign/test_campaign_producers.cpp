@@ -4,12 +4,15 @@
 // table) — coarse grids, like tests/analysis/test_table1.cpp.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 
 #include "pf/analysis/region.hpp"
 #include "pf/analysis/table1.hpp"
 #include "pf/campaign/producers.hpp"
+#include "pf/util/cancellation.hpp"
+#include "pf/util/error.hpp"
 
 namespace pf::campaign {
 namespace {
@@ -103,6 +106,50 @@ TEST(CampaignProducers, Table1ViaCampaignSurvivesStoreAndResume) {
       generate_table1_via_campaign(options, campaign, &resumed_result);
   EXPECT_GE(resumed_result.stats.resumed, resumed_result.jobs.size() - 1);
   expect_rows_identical(direct, resumed);
+}
+
+TEST(CampaignProducers, Table1ViaCampaignIdenticalAcrossThreadCounts) {
+  // Open 9's word-line faults are "Not possible": their searches exhaust
+  // every candidate, the case the candidate fan-out parallelizes.
+  const Table1Options options =
+      coarse({OpenSite::kBitLineOuter, OpenSite::kWordLine});
+  const CampaignSpec spec = table1_campaign(options);
+
+  CampaignOptions serial;
+  CampaignResult serial_result;
+  const auto rows =
+      generate_table1_via_campaign(options, serial, &serial_result);
+  ASSERT_TRUE(serial_result.all_done());
+  EXPECT_TRUE(std::any_of(rows.begin(), rows.end(),
+                          [](const Table1Row& r) { return r.completable; }));
+  EXPECT_TRUE(std::any_of(rows.begin(), rows.end(), [](const Table1Row& r) {
+    return r.site == OpenSite::kWordLine && !r.completable;
+  }));
+
+  CampaignOptions parallel;
+  parallel.exec.threads = 4;
+  CampaignResult parallel_result;
+  const auto parallel_rows =
+      generate_table1_via_campaign(options, parallel, &parallel_result);
+  expect_rows_identical(rows, parallel_rows);
+  EXPECT_EQ(parallel_result.report(spec), serial_result.report(spec));
+}
+
+TEST(CampaignProducers, CancellationReachesTheCompletionSearch) {
+  // The analysis job's completion search runs under the campaign's token:
+  // tripping it as the job begins aborts the campaign instead of letting
+  // the search run to completion.
+  const Table1Options options = coarse({OpenSite::kBitLineOuter});
+  CampaignOptions campaign;
+  pf::CancellationToken token;
+  campaign.exec.cancel = token;
+  campaign.on_event = [&token](const CampaignEvent& event) {
+    if (event.kind == CampaignEvent::Kind::kBegin &&
+        event.job.ends_with("-analysis"))
+      token.request_cancellation();
+  };
+  EXPECT_THROW(run_campaign(table1_campaign(options), campaign),
+               pf::CancelledError);
 }
 
 TEST(CampaignProducers, CompletionCampaignMatchesDirectSearch) {

@@ -261,6 +261,26 @@ TEST(CampaignRunner, CustomJobMustDeclareItsDependencies) {
       << "the custom job's failure must stay isolated";
 }
 
+TEST(CampaignRunner, CustomJobSeesTheCampaignPolicy) {
+  CampaignSpec spec;
+  spec.name = "policy";
+  spec.jobs = {sweep_job("s1", "1r1")};
+  CampaignJob probe;
+  probe.id = "probe";
+  probe.kind = CampaignJob::Kind::kCustom;
+  probe.deps = {"s1"};
+  probe.custom = [](const DepContext& ctx) {
+    return Json(ctx.exec().threads);
+  };
+  spec.jobs.push_back(probe);
+
+  CampaignOptions options;
+  options.exec.threads = 3;
+  const CampaignResult result = run_campaign(spec, options);
+  ASSERT_TRUE(result.all_done());
+  EXPECT_EQ(result.jobs.at("probe").detail.get("payload").as_number(), 3);
+}
+
 TEST(CampaignRunner, InvalidSpecThrowsBeforeAnythingRuns) {
   CampaignSpec spec;
   spec.name = "cyclic";

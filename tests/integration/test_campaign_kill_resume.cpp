@@ -100,21 +100,21 @@ std::string read_file(const std::string& path) {
   return buffer.str();
 }
 
-std::string control_report() {
-  static std::string report = [] {
-    const std::string dir = fresh_dir("campaign_control");
-    const std::string spec = write_spec(dir);
-    const pid_t pid = spawn_campaign(spec, dir, dir + "/report.txt");
-    const int status = wait_status(pid);
-    EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
-        << "uninterrupted control run must succeed";
-    return read_file(dir + "/report.txt");
-  }();
-  return report;
+/// An uninterrupted run of the spec. Each test gets its own directory:
+/// ctest runs the tests of this file as concurrent processes, and a shared
+/// one let one test's fresh_dir() delete the other's store mid-run.
+std::string control_report(const std::string& tag) {
+  const std::string dir = fresh_dir((tag + "_control").c_str());
+  const std::string spec = write_spec(dir);
+  const pid_t pid = spawn_campaign(spec, dir, dir + "/report.txt");
+  const int status = wait_status(pid);
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
+      << "uninterrupted control run must succeed";
+  return read_file(dir + "/report.txt");
 }
 
 void kill_resume_roundtrip(const char* tag, int signal_to_send) {
-  const std::string control = control_report();
+  const std::string control = control_report(tag);
   ASSERT_FALSE(control.empty());
 
   const std::string dir = fresh_dir(tag);

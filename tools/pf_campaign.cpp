@@ -31,7 +31,8 @@
 //   --retry-failed     re-attempt journaled FAILED jobs on resume
 //   --socket PATH      submit sweep jobs to a running pf_served instead of
 //                      executing locally (busy rejections absorbed)
-//   --threads N        worker threads per local sweep
+//   --threads N        worker threads per local sweep and per completion
+//                      search (Table 1 analysis jobs)
 //   --attempts N       max attempts per job (default 2)
 //   --backoff-ms MS    base retry backoff (doubles per attempt)
 //   --deadline S       wall-clock budget for the whole campaign
