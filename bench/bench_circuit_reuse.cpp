@@ -4,9 +4,9 @@
 //   * CircuitMode::kRebuild — netlist + template + power-up reconstructed
 //     for every grid point (the PR 1 engine's lifecycle);
 //   * CircuitMode::kReuse (default) — one CircuitTemplate compiled per
-//     sweep, per-worker columns restamped through ParamHandles and reset()
-//     per point, plus the opt-in warm-start variant.
-// The maps must stay bit-identical across all modes; only wall clock moves.
+//     sweep, per-worker columns restamped through ParamHandles, each row's
+//     post-initialization state solved once and restored per point.
+// The maps must stay bit-identical across both modes; only wall clock moves.
 //
 // Set PF_DUMP_JSON=1 to write BENCH_circuit_reuse.json next to the binary
 // (mirrors bench_parallel_scaling). The recorded copy lives in results/.
@@ -78,14 +78,12 @@ void print_reproduction() {
       analysis::sweep_region(spec, rebuild).to_csv();
 
   analysis::ExecutionPolicy reuse;  // the default: CircuitMode::kReuse
-  analysis::ExecutionPolicy warm = reuse;
-  warm.plan.warm_start = true;
 
   const ModeTiming timings[] = {
       time_mode(spec, "rebuild", rebuild, ""),
       time_mode(spec, "reuse", reuse, reference_csv),
-      time_mode(spec, "reuse+warm_start", warm, reference_csv),
   };
+  constexpr size_t kModes = sizeof(timings) / sizeof(timings[0]);
   const double rebuild_s = timings[0].seconds;
 
   std::printf("circuit reuse vs per-point rebuild, %zux%zu grid "
@@ -112,7 +110,7 @@ void print_reproduction() {
         << "  \"threads\": 1,\n"
         << "  \"seed_points_per_sec\": " << kSeedPointsPerSec << ",\n"
         << "  \"modes\": [\n";
-    for (size_t i = 0; i < 3; ++i) {
+    for (size_t i = 0; i < kModes; ++i) {
       const ModeTiming& t = timings[i];
       out << "    {\"mode\": \"" << t.mode << "\""
           << ", \"seconds\": " << t.seconds
@@ -120,7 +118,8 @@ void print_reproduction() {
           << ", \"speedup_vs_rebuild\": " << rebuild_s / t.seconds
           << ", \"speedup_vs_seed\": " << t.points_per_sec / kSeedPointsPerSec
           << ", \"bit_identical_to_rebuild\": "
-          << (t.bit_identical ? "true" : "false") << "}" << (i < 2 ? "," : "")
+          << (t.bit_identical ? "true" : "false") << "}"
+          << (i + 1 < kModes ? "," : "")
           << "\n";
     }
     out << "  ]\n}\n";
@@ -142,8 +141,8 @@ void BM_SosExperimentRebuild(benchmark::State& state) {
 }
 BENCHMARK(BM_SosExperimentRebuild)->Unit(benchmark::kMillisecond);
 
-// The sweep hot path: a persistent SosSession restamped + reset per
-// experiment (within a row the reset is a pristine-snapshot restore).
+// The sweep hot path: a persistent SosSession restamped per experiment
+// (within a row the post-initialization state is a table restore).
 void BM_SosExperimentReused(benchmark::State& state) {
   const dram::DramParams params;
   const auto defect = dram::Defect::open(dram::OpenSite::kBitLineOuter, 1e6);

@@ -66,15 +66,17 @@ if [[ "${PF_SKIP_SANITIZE:-0}" != "1" ]]; then
   # Threaded code under TSan: the parallel sweep engine, the completion
   # search's candidate fan-out (workers race to commit the lowest accepted
   # candidate and abandon the ones beyond it), cooperative cancellation,
-  # the sweep server's job workers and the campaign runner that hands its
-  # policy to those searches.
+  # the sweep server's job workers, the campaign runner that hands its
+  # policy to those searches, and the snapshot tables every worker of a
+  # sweep or search restores from and publishes to (CircuitReuse,
+  # SessionCache, SnapshotTable).
   TSAN_BUILD="${BUILD}-tsan"
   echo "== threaded suites under TSan (${TSAN_BUILD}, thread)"
   cmake -B "$TSAN_BUILD" -S . -DPF_SANITIZE=thread >/dev/null
   cmake --build "$TSAN_BUILD" -j "$JOBS" \
     --target test_analysis test_service test_campaign
   ctest --test-dir "$TSAN_BUILD" --output-on-failure -j "$JOBS" \
-    -R 'ParallelSweep|ParallelCompletion|ParallelTable1|SweepCancellation|SweepServer|Campaign'
+    -R 'ParallelSweep|ParallelCompletion|ParallelTable1|SweepCancellation|SweepServer|Campaign|CircuitReuse|SessionCache|SnapshotTable'
 fi
 
 echo "== ci gate passed"

@@ -36,7 +36,7 @@ namespace pf::analysis {
 
 class SessionCache;
 
-/// How the engine obtains and advances circuits for a sweep — the four
+/// How the engine obtains and advances circuits for a sweep — the three
 /// solver-side decisions that used to be scattered across loose
 /// ExecutionPolicy fields. One EnginePlan travels with the policy through
 /// every driver (sweep_region, generate_table1, the completion search) and
@@ -55,12 +55,6 @@ struct EnginePlan {
   /// reconstructs everything per point (the reference escape hatch).
   /// kBatched requires kReuse: lanes are seeded from one shared session.
   CircuitMode circuit_mode = CircuitMode::kReuse;
-
-  /// Opt-in warm start (requires kReuse + kScalar): power-up replays from
-  /// the previous point's end state instead of the pristine snapshot.
-  /// Region maps match the cold path; step counts need not. The batched
-  /// backend ignores it (lanes always start from the pristine snapshot).
-  bool warm_start = false;
 
   /// Adaptive boundary tracing: instead of evaluating every U-lane of a
   /// row, evaluate seed points, bisect between neighbours that disagree,
@@ -85,20 +79,19 @@ struct ExecutionPolicy {
   /// Per-experiment solver retry/backoff (see pf/analysis/robust.hpp).
   RetryPolicy retry;
 
-  /// Solver-side decisions: backend, circuit lifecycle, warm start,
-  /// adaptive tracing. Drivers read this through resolved_plan(), which
+  /// Solver-side decisions: backend, circuit lifecycle, adaptive tracing. Drivers read this through resolved_plan(), which
   /// validates it (kBatched requires kReuse).
   EnginePlan plan;
 
   /// Cross-sweep session reuse (see pf/analysis/session_cache.hpp). When
-  /// both fields are set and plan.circuit_mode == kReuse, sweep_region
-  /// borrows a previously compiled SosSession for `session_family` from the
-  /// cache instead of compiling from scratch, and returns it (with its
-  /// post-initialization snapshot cache intact) when the sweep completes.
-  /// Campaign runners set the family to a key covering everything that
-  /// affects compilation (defect topology + process parameters); results
-  /// stay bit-identical because SosSession::run restamps and reset()s the
-  /// borrowed column exactly like a fresh one.
+  /// both fields are set and plan.circuit_mode == kReuse, sweep_region and
+  /// the completion search borrow the SosSession compiled for
+  /// `session_family` from the cache instead of compiling from scratch,
+  /// and return it (with its post-initialization table intact) when they
+  /// complete. Campaign runners set the family to a key covering
+  /// everything that affects compilation (defect topology + process
+  /// parameters); results stay bit-identical because SosSession::run
+  /// restamps the borrowed column and restores only exactly keyed states.
   std::shared_ptr<SessionCache> session_cache;
   std::string session_family;
 
@@ -143,8 +136,7 @@ int resolve_worker_count(int threads);
 
 /// The effective EnginePlan of a policy: `policy.plan`, validated.
 /// Throws pf::Error for plans the engine cannot execute
-/// (kBatched + kRebuild). The PR 8 [[deprecated]] `circuit`/`warm_start`
-/// forwarding shims are gone — EnginePlan is the only spelling.
+/// (kBatched + kRebuild).
 EnginePlan resolved_plan(const ExecutionPolicy& policy);
 
 /// Dispatches grid points to a fixed-size worker pool. One runner is

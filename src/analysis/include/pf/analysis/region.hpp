@@ -4,6 +4,7 @@
 // floating initial voltage U on the x axis, recording the observed FFM.
 #pragma once
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -95,16 +96,17 @@ class RegionMap {
 /// same SweepStats totals, same index-ordered failure_log.
 ///
 /// Circuit lifecycle: with policy.plan.circuit_mode == CircuitMode::kReuse
-/// (default) the circuit template — netlist, node map, sparsity pattern, elimination
-/// order — is compiled ONCE per sweep; each worker owns a private
-/// SosSession whose column is restamped (defect resistance via ParamHandle,
-/// engine options in place) and reset() per grid point. Because reset() is
-/// bit-identical to a fresh construction (pf/dram/column.hpp), the map
-/// equals a CircuitMode::kRebuild sweep bit for bit at any thread count;
-/// only wall-clock changes. policy.plan.warm_start additionally replays
-/// power-up
-/// from the previous point's end state instead of restoring the pristine
-/// snapshot (same map, different solver trajectories).
+/// (default) the circuit template — netlist, node map, sparsity pattern,
+/// elimination order — is compiled ONCE per sweep (or borrowed from
+/// policy.session_cache); each worker owns a private SosSession whose
+/// column is restamped (defect resistance via ParamHandle, engine options
+/// in place) per grid point. A pre-pass over the rows first solves every
+/// post-initialization state the sweep's attempt-1 points need and the
+/// shared table lacks (pf/analysis/snapshot_table.hpp), so each is solved
+/// once whatever the thread count; points then restore it. Because
+/// restores and reset() are bit-identical to a fresh construction
+/// (pf/dram/column.hpp), the map equals a CircuitMode::kRebuild sweep bit
+/// for bit at any thread count; only wall-clock changes.
 ///
 /// Cancellation: when policy.cancel trips (signal handler, deadline) the
 /// sweep drains in-flight points, journals them, and throws
@@ -122,9 +124,23 @@ class RegionMap {
 /// by inference (SweepStats::inferred; journaled with attempts = 0) —
 /// exact when every same-class band is at least as wide as the seed
 /// stride, else narrow bands may be missed. Row-based modes report
-/// progress per ROW, not per point, and ignore plan.warm_start.
+/// progress per ROW, not per point.
 RegionMap sweep_region(const SweepSpec& spec,
                        const ExecutionPolicy& policy = {});
+
+/// The post-initialization pre-pass of sweep_region and the completion
+/// search: solves, spread over the policy's workers (progress is not
+/// reported), every post-initialization state of (r in r_values, initial
+/// states of each SOS in soses) under `options` that `table` lacks, and
+/// publishes it there. Each missing key is solved exactly once, so solve
+/// counts do not depend on how points are later scheduled. A key whose
+/// solve fails stays unpublished: the points' retry loop meets the failure
+/// and owns it. No-op while test-only fault injection is armed.
+void prepare_post_init_states(
+    const ExecutionPolicy& policy,
+    const std::function<SosSession&(int worker)>& session_for,
+    SnapshotTable& table, const std::vector<double>& r_values,
+    const std::vector<faults::Sos>& soses, const spice::SimOptions& options);
 
 /// Inverse of RegionMap::to_csv for a KNOWN spec: parses the header plus
 /// |r_axis| * |u_axis| data rows (row-major) and takes the ffm column

@@ -89,7 +89,9 @@ RobustOutcome run_sos_robust(const dram::DramParams& params,
 /// rebuilding — both overloads share one attempt-loop implementation, so the
 /// fresh and reused flavors cannot drift. `base` supplies the attempt-1
 /// SimOptions (including the sweep's cancellation token); `defect` must
-/// match the topology the session was compiled for.
+/// match the topology the session was compiled for. `sharing` is handed to
+/// every attempt (states never cross numerics, so a retry only restores
+/// what an attempt with the same tightened options published).
 RobustOutcome run_sos_robust(SosSession& session,
                              const spice::SimOptions& base,
                              const dram::Defect& defect,
@@ -98,7 +100,7 @@ RobustOutcome run_sos_robust(SosSession& session,
                              const RetryPolicy& policy,
                              const ExperimentContext& ctx,
                              bool idle_before_observe = false,
-                             bool warm_start = false);
+                             const PrefixSharing& sharing = {});
 
 /// Injection-context key used by sweep_region for the grid point (ix, iy).
 std::string grid_point_key(size_t ix, size_t iy);

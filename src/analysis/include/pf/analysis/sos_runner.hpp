@@ -18,15 +18,20 @@
 //   * SosSession keeps a per-worker column alive across experiments and
 //     reconfigures it per point through the compile-once pipeline: restamp
 //     the defect resistance via its ParamHandle, swap engine options in
-//     place, reset() to the pristine post-power-up state. Because reset()
-//     is defined as bit-identical to a fresh construction (see
-//     pf/dram/column.hpp), a session run and a run_sos call with the same
-//     (R_def, options, U, SOS) return identical SosOutcomes.
+//     place, then restore the post-initialization state from an exact
+//     keyed table or reset() to the pristine post-power-up state and
+//     replay the initializing writes. Because reset() is bit-identical to a
+//     fresh construction (see pf/dram/column.hpp) and a restored snapshot
+//     retraces the solved trajectory bit for bit, a session run and a
+//     run_sos call with the same (R_def, options, U, SOS) return identical
+//     SosOutcomes.
 #pragma once
 
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "pf/analysis/snapshot_table.hpp"
 #include "pf/dram/column.hpp"
 #include "pf/dram/defect.hpp"
 #include "pf/faults/ffm.hpp"
@@ -65,46 +70,72 @@ SosOutcome run_sos(const dram::DramParams& params, const dram::Defect& defect,
 
 /// The shared implementation behind run_sos and SosSession::run: executes
 /// the SOS on `column`, which must be in the pristine post-power-up state
-/// (fresh construction, reset(), or — for warm starts — a power_up() replay).
+/// (fresh construction or reset()).
 SosOutcome run_sos_on(dram::DramColumn& column, const dram::FloatingLine* line,
                       double u, const faults::Sos& sos,
                       bool idle_before_observe = false);
+
+/// Completion-search prefix sharing for one SosSession::run: the first
+/// `ops` operations of the SOS are completing writes whose end states (per
+/// probe R_def, U and initial states) are looked up in and published to
+/// `table`, a table private to one search call.
+struct PrefixSharing {
+  SnapshotTable* table = nullptr;
+  size_t ops = 0;
+};
 
 /// A reusable experiment context for one worker of a sweep: one compiled
 /// column whose topology is fixed at construction and whose swept values
 /// (defect resistance, engine options, floating voltage) are restamped per
 /// run. Not thread-safe — give each worker its own session via clone().
+///
+/// Sessions cloned from one another share a post-initialization
+/// SnapshotTable (pf/analysis/snapshot_table.hpp): the SOS's initializing
+/// writes (step 1) happen before the floating voltage is injected (step 2),
+/// so every experiment with the same (R_def, numerics, initial states) —
+/// a whole sweep row, and the same row of every later sweep or completion
+/// search of the defect topology — restores that state instead of
+/// re-solving power-up and the initializing writes. The table is the only
+/// post-initialization cache, and it is bypassed while test-only fault
+/// injection is armed.
 class SosSession {
  public:
   /// Compiles the column once for (params, defect). The defect's
   /// `resistance` is only the initial stamp — each run() restamps it to
-  /// that experiment's R_def through the template's ParamHandle.
-  SosSession(const dram::DramParams& params, const dram::Defect& defect);
+  /// that experiment's R_def through the template's ParamHandle. The
+  /// session's post-initialization table reports into `counters` (a
+  /// private set when null).
+  SosSession(const dram::DramParams& params, const dram::Defect& defect,
+             std::shared_ptr<SnapshotTable::Counters> counters = nullptr);
 
-  /// A pristine replica sharing the compiled template (cheap run-state
-  /// clone) — the per-worker fan-out hook of the parallel sweep engine.
-  SosSession clone() const { return SosSession(column_.clone_fresh()); }
+  /// A replica sharing the compiled template and the post-initialization
+  /// table: a plain run-state copy, with no power-up replay — the per-worker
+  /// fan-out hook of the parallel sweep engine.
+  SosSession clone() const { return SosSession(column_.clone(), post_init_); }
 
   const dram::DramColumn& column() const { return column_; }
 
+  /// The post-initialization table shared with every clone.
+  SnapshotTable& post_init_states() const { return *post_init_; }
+
   /// One experiment, bit-identical to
   ///   run_sos(params{sim = options}, defect{resistance = r_def}, ...)
-  /// on a fresh column. With `warm_start` the column is NOT reset to
-  /// pristine first: the power-up sequence replays from the previous
-  /// experiment's end state (the opt-in R-sweep warm start; classifications
-  /// match the cold path, exact node trajectories need not).
-  ///
-  /// Cold runs additionally cache the POST-INITIALIZATION snapshot: the
-  /// SOS's initializing writes (step 1) happen before the floating voltage
-  /// is injected (step 2), so consecutive experiments that share (R_def,
-  /// numerics, initial states) — e.g. one grid row of a sweep, which varies
-  /// only U — restore the snapshot instead of re-solving power-up and the
-  /// initializing writes. Deterministic replay makes the restored state
-  /// equal the re-solved state bit for bit, so outcomes are unaffected.
+  /// on a fresh column. The post-initialization state comes from the
+  /// shared table (solved and published on a miss); with `sharing`, the
+  /// longest completing prefix already in sharing.table is restored instead
+  /// and the states after the remaining shared writes are published.
   SosOutcome run(double r_def, const spice::SimOptions& options,
                  const dram::FloatingLine* line, double u,
                  const faults::Sos& sos, bool idle_before_observe = false,
-                 bool warm_start = false);
+                 const PrefixSharing& sharing = {});
+
+  /// Bring the table to hold the post-initialization state of (r_def,
+  /// options, sos initial states), solving it here on a miss — the
+  /// pre-pass primitive (prepare_post_init_states) that makes solve counts
+  /// independent of point scheduling. Throws on solver failure (nothing is
+  /// published).
+  void prepare(double r_def, const spice::SimOptions& options,
+               const faults::Sos& sos);
 
   /// Swap the underlying column's engine options in place, exactly like a
   /// per-run `options` argument would. The override is part of the
@@ -142,24 +173,16 @@ class SosSession {
                                      bool idle_before_observe = false);
 
  private:
-  explicit SosSession(dram::DramColumn column) : column_(std::move(column)) {}
+  SosSession(dram::DramColumn column, std::shared_ptr<SnapshotTable> table)
+      : column_(std::move(column)), post_init_(std::move(table)) {}
 
-  /// Brings column_ to the post-initialization state for (r_def, options,
-  /// sos initial states) — via the snapshot cache when valid, else by a
-  /// reset() + replayed initializing writes (and re-caches).
-  void ensure_post_init_state(double r_def, const spice::SimOptions& options,
-                              const faults::Sos& sos);
+  /// Brings column_ (already stamped with key's R_def and options) to the
+  /// post-initialization state: a table restore, or a reset() + replayed
+  /// initializing writes that are then published.
+  void ensure_post_init_state(const SnapshotKey& key, const faults::Sos& sos);
 
   dram::DramColumn column_;
-
-  // Post-initialization snapshot cache (valid for cold runs only; keyed on
-  // the exact configuration that determines the pre-injection trajectory).
-  dram::DramColumn::State init_state_;
-  spice::SimOptions init_options_;
-  double init_r_ = 0.0;
-  int init_victim_ = -2;     // -2: cache empty (Sos uses -1 for "no init")
-  int init_aggressor_ = -2;
-  bool init_valid_ = false;
+  std::shared_ptr<SnapshotTable> post_init_;
 };
 
 }  // namespace pf::analysis

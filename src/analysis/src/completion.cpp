@@ -4,8 +4,11 @@
 #include <atomic>
 #include <exception>
 #include <memory>
+#include <set>
 #include <string>
+#include <tuple>
 
+#include "pf/analysis/session_cache.hpp"
 #include "pf/spice/fault_injection.hpp"
 #include "pf/util/log.hpp"
 
@@ -96,9 +99,40 @@ void enumerate_prefixes(int len, int required_state,
   }
 }
 
-}  // namespace
+/// The search's probe parameters: the spec's, with the search's
+/// cancellation token, so the solver watchdog can abandon a probe
+/// mid-transient.
+dram::DramParams probe_params_of(const CompletionSpec& spec) {
+  dram::DramParams params = spec.params;
+  params.sim.cancel = spec.exec.cancel;
+  return params;
+}
 
-CompletionResult search_completing_ops(const CompletionSpec& spec) {
+/// The session a search runs on under CircuitMode::kReuse: the family's,
+/// borrowed from exec.session_cache (post-initialization table included)
+/// when the policy names a family, else one compiled here. Null under
+/// kRebuild.
+std::unique_ptr<SosSession> borrow_session(const CompletionSpec& spec,
+                                           double r_def) {
+  const ExecutionPolicy& policy = spec.exec;
+  if (resolved_plan(policy).circuit_mode != CircuitMode::kReuse)
+    return nullptr;
+  dram::Defect defect = spec.defect;
+  defect.resistance = r_def;
+  if (policy.session_cache != nullptr && !policy.session_family.empty())
+    return policy.session_cache->take(policy.session_family,
+                                      probe_params_of(spec), defect);
+  return std::make_unique<SosSession>(probe_params_of(spec), defect);
+}
+
+void return_session(const CompletionSpec& spec,
+                    std::unique_ptr<SosSession> session) {
+  if (spec.exec.session_cache != nullptr)
+    spec.exec.session_cache->put(spec.exec.session_family, std::move(session));
+}
+
+/// The search proper on `family` (null: rebuild every probe).
+CompletionResult search_on(const CompletionSpec& spec, SosSession* family) {
   PF_CHECK_MSG(!spec.probe_r.empty() && !spec.probe_u.empty(),
                "completion search needs probe rows and voltages");
   const ExecutionPolicy& policy = spec.exec;
@@ -112,29 +146,20 @@ CompletionResult search_completing_ops(const CompletionSpec& spec) {
   // State faults have no sensitizing operation; the candidate needs an idle
   // precharge cycle before observation (the mechanism that flips the cell).
   const bool is_state_fault = base.ops.empty();
-  // Probe simulators see the search's cancellation token, so the solver
-  // watchdog can abandon a probe mid-transient.
-  dram::DramParams probe_params = spec.params;
-  probe_params.sim.cancel = policy.cancel;
+  const dram::DramParams probe_params = probe_params_of(spec);
 
-  // Compile-once pipeline: one template for the whole search, per-worker
-  // sessions that persist ACROSS candidates — every probe restamps + resets
-  // its worker's column (bit-identical to a fresh build), so the search
-  // never reconstructs a netlist after this point. Probes always reset cold
-  // (no warm start): candidate verdicts must not depend on probe order.
-  std::unique_ptr<SosSession> prototype;
-  if (plan.circuit_mode == CircuitMode::kReuse) {
-    dram::Defect proto_defect = spec.defect;
-    proto_defect.resistance = spec.probe_r.front();
-    prototype = std::make_unique<SosSession>(probe_params, proto_defect);
-  }
+  // Compile-once pipeline: per-worker clones of the family session that
+  // persist ACROSS candidates — every probe restamps its worker's column
+  // and restores exactly keyed states, so the search never reconstructs a
+  // netlist. Verdicts do not depend on probe order: a restore is
+  // bit-identical to the solve it replaces.
   std::vector<std::unique_ptr<SosSession>> sessions(
       static_cast<size_t>(runner.workers()));
   const auto session_for = [&](int worker) -> SosSession& {
     std::unique_ptr<SosSession>& session =
         sessions[static_cast<size_t>(worker)];
     if (session == nullptr)
-      session = std::make_unique<SosSession>(prototype->clone());
+      session = std::make_unique<SosSession>(family->clone());
     return *session;
   };
   // Batched backend: a candidate's probes advance one probe-R row at a
@@ -157,6 +182,33 @@ CompletionResult search_completing_ops(const CompletionSpec& spec) {
     sos.ops.insert(sos.ops.end(), base.ops.begin(), base.ops.end());
     return sos;
   };
+
+  // Completing prefixes shorter than max_prefix_ops are proper prefixes of
+  // longer candidates: the state after them, per probe (R_def, U), goes
+  // into a table private to this call and every later candidate starting
+  // with the same writes (and the same initial states) restores it.
+  const size_t shared_ops =
+      static_cast<size_t>(std::max(spec.max_prefix_ops - 1, 0));
+  std::unique_ptr<SnapshotTable> prefixes;
+  if (family != nullptr) {
+    std::vector<Sos> soses;
+    std::set<std::tuple<int, int, uint64_t>> prefix_keys;
+    for (const Candidate& cand : candidates) {
+      soses.push_back(candidate_sos(cand));
+      SnapshotKey key;
+      for (size_t k = 0; k < std::min(shared_ops, cand.prefix.size()); ++k) {
+        key.push_write(cand.prefix[k]);
+        prefix_keys.emplace(soses.back().initial_victim, key.prefix_len,
+                            key.prefix);
+      }
+    }
+    prepare_post_init_states(policy, session_for, family->post_init_states(),
+                             spec.probe_r, soses, attempt1);
+    if (!prefix_keys.empty() && !spice::testing::armed())
+      prefixes = std::make_unique<SnapshotTable>(
+          prefix_keys.size() * spec.probe_r.size() * spec.probe_u.size(),
+          family->column());
+  }
 
   // The search fans out over whole candidates: each worker judges its
   // candidate's probes serially with the early exit, and the serial answer
@@ -184,6 +236,9 @@ CompletionResult search_completing_ops(const CompletionSpec& spec) {
     if (superseded(index)) return;
     const Sos sos = candidate_sos(candidates[index]);
     const std::string sos_text = sos.to_string();
+    const PrefixSharing sharing{
+        prefixes.get(),
+        std::min(shared_ops, candidates[index].prefix.size())};
     Verdict& verdict = verdicts[index];
     const auto scalar_probe = [&](double r, double u) {
       dram::Defect defect = spec.defect;
@@ -195,10 +250,10 @@ CompletionResult search_completing_ops(const CompletionSpec& spec) {
       ctx.r_def = r;
       ctx.u = u;
       ctx.sos = sos_text;
-      if (prototype != nullptr)
+      if (family != nullptr)
         return run_sos_robust(session_for(worker), probe_params.sim, defect,
                               &line, u, sos, policy.retry, ctx,
-                              is_state_fault);
+                              is_state_fault, sharing);
       return run_sos_robust(probe_params, defect, &line, u, sos, policy.retry,
                             ctx, is_state_fault);
     };
@@ -269,6 +324,18 @@ CompletionResult search_completing_ops(const CompletionSpec& spec) {
   return result;
 }
 
+}  // namespace
+
+CompletionResult search_completing_ops(const CompletionSpec& spec) {
+  PF_CHECK_MSG(!spec.probe_r.empty() && !spec.probe_u.empty(),
+               "completion search needs probe rows and voltages");
+  std::unique_ptr<SosSession> session =
+      borrow_session(spec, spec.probe_r.front());
+  const CompletionResult result = search_on(spec, session.get());
+  return_session(spec, std::move(session));
+  return result;
+}
+
 CompletionResult search_completing_ops_with_fallback(
     const CompletionSpec& spec_template, const RegionMap& base_map,
     faults::Ffm ffm, size_t rows_per_window, size_t max_windows,
@@ -285,6 +352,11 @@ CompletionResult search_completing_ops_with_fallback(
       dram::floating_lines_for(spec_template.defect, spec_template.params);
   PF_CHECK(spec_template.floating_line_index < lines.size());
   const dram::FloatingLine& line = lines[spec_template.floating_line_index];
+  // One session (the family's, when the policy names one) serves every
+  // window's re-observation and search.
+  std::unique_ptr<SosSession> session =
+      borrow_session(spec_template, rows.back());
+  const dram::DramParams probe_params = probe_params_of(spec_template);
 
   size_t window = 0;
   for (size_t top = rows.size(); top > 0 && window < max_windows; ++window) {
@@ -313,11 +385,12 @@ CompletionResult search_completing_ops_with_fallback(
       ctx.r_def = probe.resistance;
       ctx.u = u_mid;
       ctx.sos = spec.base.sos.to_string();
-      dram::DramParams probe_params = spec.params;
-      probe_params.sim.cancel = spec.exec.cancel;
-      const RobustOutcome ro = run_sos_robust(probe_params, probe, &line,
-                                              u_mid, spec.base.sos,
-                                              spec.exec.retry, ctx);
+      const RobustOutcome ro =
+          session != nullptr
+              ? run_sos_robust(*session, probe_params.sim, probe, &line,
+                               u_mid, spec.base.sos, spec.exec.retry, ctx)
+              : run_sos_robust(probe_params, probe, &line, u_mid,
+                               spec.base.sos, spec.exec.retry, ctx);
       ++total.sos_runs;
       if (!ro.solved) {
         ++total.solver_failures;
@@ -329,16 +402,17 @@ CompletionResult search_completing_ops_with_fallback(
       spec.base.read_result = out.read_result;
     }
 
-    const CompletionResult attempt = search_completing_ops(spec);
+    const CompletionResult attempt = search_on(spec, session.get());
     total.candidates_evaluated += attempt.candidates_evaluated;
     total.sos_runs += attempt.sos_runs;
     total.solver_failures += attempt.solver_failures;
     if (attempt.possible) {
       total.possible = true;
       total.completed = attempt.completed;
-      return total;
+      break;
     }
   }
+  return_session(spec_template, std::move(session));
   return total;
 }
 

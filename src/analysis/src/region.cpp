@@ -239,6 +239,40 @@ class AdaptiveRowTracer {
 
 }  // namespace
 
+void prepare_post_init_states(
+    const ExecutionPolicy& policy,
+    const std::function<SosSession&(int worker)>& session_for,
+    SnapshotTable& table, const std::vector<double>& r_values,
+    const std::vector<faults::Sos>& soses, const spice::SimOptions& options) {
+  if (spice::testing::armed()) return;  // injection bypasses the table
+  std::vector<std::pair<double, const faults::Sos*>> missing;
+  std::vector<SnapshotKey> seen;
+  for (const double r : r_values)
+    for (const faults::Sos& sos : soses) {
+      const SnapshotKey key = SnapshotKey::post_init(r, options, sos);
+      const bool dup = std::any_of(
+          seen.begin(), seen.end(),
+          [&](const SnapshotKey& other) { return other.matches(key); });
+      if (dup || table.contains(key)) continue;
+      seen.push_back(key);
+      missing.emplace_back(r, &sos);
+    }
+  if (missing.empty()) return;
+  table.reserve(table.size() + missing.size());
+  ExecutionPolicy quiet = policy;  // a pre-pass is not grid progress
+  quiet.progress = nullptr;
+  ParallelGridRunner(quiet).run(missing.size(), [&](size_t k, int worker) {
+    try {
+      session_for(worker).prepare(missing[k].first, options,
+                                  *missing[k].second);
+    } catch (const pf::CancelledError&) {
+      throw;
+    } catch (const pf::Error&) {
+      // Left unpublished: the points' own retry loop meets and owns it.
+    }
+  });
+}
+
 RegionMap sweep_region(const SweepSpec& spec, const ExecutionPolicy& policy) {
   const EnginePlan plan = resolved_plan(policy);
   PF_CHECK(!spec.r_axis.empty() && !spec.u_axis.empty());
@@ -300,48 +334,43 @@ RegionMap sweep_region(const SweepSpec& spec, const ExecutionPolicy& policy) {
 
   const ParallelGridRunner runner(policy);
   // Compile-once pipeline (EnginePlan::circuit_mode): one circuit template
-  // is built per sweep and shared read-only; each worker lazily clones a
-  // private session from it and restamps + resets that column per point
-  // instead of rebuilding the netlist and re-running the symbolic analysis.
-  // Under kRebuild every point constructs its own column inside run_sos
-  // (the reference path). Either way the only mutable state shared between
-  // workers is the journal (self-serializing).
+  // is built per sweep — or borrowed with its post-initialization table
+  // from the campaign's SessionCache — and shared read-only; each worker
+  // lazily clones a private session from it and restamps that column per
+  // point instead of rebuilding the netlist and re-running the symbolic
+  // analysis. Under kRebuild every point constructs its own column inside
+  // run_sos (the reference path). Either way the only mutable state shared
+  // between workers is the journal and the post-initialization table (both
+  // self-serializing).
+  const bool cached = policy.session_cache != nullptr &&
+                      !policy.session_family.empty();
   std::unique_ptr<SosSession> prototype;
   if (plan.circuit_mode == CircuitMode::kReuse && !pending.empty()) {
-    // Cross-sweep reuse: a campaign runner hands compiled sessions from one
-    // job to the next through a SessionCache keyed by row-family. A cache
-    // hit skips the compile entirely and keeps the post-initialization
-    // snapshot cache warm; a miss compiles exactly like before.
-    if (policy.session_cache && !policy.session_family.empty())
-      prototype = policy.session_cache->take(policy.session_family);
-    if (prototype == nullptr) {
-      dram::Defect proto_defect = spec.defect;
-      proto_defect.resistance = spec.r_axis[pending.front() / width];
-      prototype = std::make_unique<SosSession>(run_spec.params, proto_defect);
-    }
+    dram::Defect proto_defect = spec.defect;
+    proto_defect.resistance = spec.r_axis[pending.front() / width];
+    prototype = cached ? policy.session_cache->take(policy.session_family,
+                                                    run_spec.params,
+                                                    proto_defect)
+                       : std::make_unique<SosSession>(run_spec.params,
+                                                      proto_defect);
   }
-  // With a session cache armed, worker 0 runs experiments directly on the
-  // prototype (clone() does not carry the snapshot cache, so only direct
-  // reuse preserves it across jobs).
-  const bool adopt_prototype = prototype != nullptr &&
-                               policy.session_cache != nullptr &&
-                               !policy.session_family.empty();
   std::vector<std::unique_ptr<SosSession>> sessions(
       static_cast<size_t>(runner.workers()));
   const auto session_for = [&](int worker) -> SosSession& {
-    if (worker == 0 && adopt_prototype) return *prototype;
     std::unique_ptr<SosSession>& session =
         sessions[static_cast<size_t>(worker)];
     if (session == nullptr)
       session = std::make_unique<SosSession>(prototype->clone());
     return *session;
   };
-  if (adopt_prototype && runner.workers() > 1) {
-    // Worker 0 mutates the prototype from its first point on, so the other
-    // workers' clones must be taken eagerly, before dispatch starts.
-    for (int w = 1; w < runner.workers(); ++w)
-      sessions[static_cast<size_t>(w)] =
-          std::make_unique<SosSession>(prototype->clone());
+  if (prototype != nullptr) {
+    std::vector<double> rows;
+    for (const size_t flat : pending)
+      if (rows.empty() || rows.back() != spec.r_axis[flat / width])
+        rows.push_back(spec.r_axis[flat / width]);
+    prepare_post_init_states(
+        policy, session_for, prototype->post_init_states(), rows, {spec.sos},
+        tightened_sim_options(run_spec.params.sim, policy.retry, 1));
   }
   const auto ctx_for = [&](size_t ix, size_t iy) {
     ExperimentContext ctx;
@@ -355,15 +384,13 @@ RegionMap sweep_region(const SweepSpec& spec, const ExecutionPolicy& policy) {
   };
   // The full scalar retry loop for one point (reference semantics; also the
   // per-lane fallback of the batched backend).
-  const auto scalar_point = [&](size_t ix, size_t iy, int worker,
-                                bool warm_start) {
+  const auto scalar_point = [&](size_t ix, size_t iy, int worker) {
     dram::Defect defect = spec.defect;
     defect.resistance = spec.r_axis[iy];
     if (prototype != nullptr)
       return run_sos_robust(session_for(worker), run_spec.params.sim, defect,
                             &line, spec.u_axis[ix], spec.sos, policy.retry,
-                            ctx_for(ix, iy), /*idle_before_observe=*/false,
-                            warm_start);
+                            ctx_for(ix, iy));
     return run_sos_robust(run_spec.params, defect, &line, spec.u_axis[ix],
                           spec.sos, policy.retry, ctx_for(ix, iy));
   };
@@ -378,7 +405,7 @@ RegionMap sweep_region(const SweepSpec& spec, const ExecutionPolicy& policy) {
     runner.run(pending.size(), [&](size_t k, int worker) {
       const size_t iy = pending[k] / width;
       const size_t ix = pending[k] % width;
-      const RobustOutcome ro = scalar_point(ix, iy, worker, plan.warm_start);
+      const RobustOutcome ro = scalar_point(ix, iy, worker);
       PointOutcome& out = results[k];
       out.attempts = ro.attempts;
       out.solved = ro.solved;
@@ -480,8 +507,7 @@ RegionMap sweep_region(const SweepSpec& spec, const ExecutionPolicy& policy) {
           const size_t ix = ixs[i];
           PointOutcome& out = outcomes[iy * width + ix];
           if (!lane_done[i]) {
-            const RobustOutcome ro =
-                scalar_point(ix, iy, worker, /*warm_start=*/false);
+            const RobustOutcome ro = scalar_point(ix, iy, worker);
             out.attempts = ro.attempts;
             out.solved = ro.solved;
             if (ro.solved) {
@@ -561,7 +587,7 @@ RegionMap sweep_region(const SweepSpec& spec, const ExecutionPolicy& policy) {
   // Hand the compiled session back for the next sweep in this family. Only
   // reached on success: a cancelled or failed sweep drops the session (the
   // next borrower misses and recompiles — correct, just colder).
-  if (adopt_prototype)
+  if (cached && prototype != nullptr)
     policy.session_cache->put(policy.session_family, std::move(prototype));
   return RegionMap(spec, std::move(grid), std::move(stats));
 }

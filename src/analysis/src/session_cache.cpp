@@ -2,18 +2,22 @@
 
 namespace pf::analysis {
 
-std::unique_ptr<SosSession> SessionCache::take(const std::string& family) {
-  if (family.empty()) return nullptr;
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = by_family_.find(family);
-  if (it == by_family_.end() || !it->second) {
-    ++stats_.misses;
-    return nullptr;
+std::unique_ptr<SosSession> SessionCache::take(const std::string& family,
+                                               const dram::DramParams& params,
+                                               const dram::Defect& defect) {
+  if (!family.empty()) {
+    std::unique_ptr<SosSession> session;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      auto it = by_family_.find(family);
+      if (it != by_family_.end()) session = std::move(it->second);
+      // Only the running family's table stays alive.
+      by_family_.clear();
+      ++(session ? stats_.hits : stats_.misses);
+    }
+    if (session) return session;
   }
-  std::unique_ptr<SosSession> session = std::move(it->second);
-  by_family_.erase(it);
-  ++stats_.hits;
-  return session;
+  return std::make_unique<SosSession>(params, defect, counters_);
 }
 
 void SessionCache::put(const std::string& family,
@@ -31,7 +35,10 @@ void SessionCache::clear() {
 
 SessionCache::Stats SessionCache::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
+  Stats out = stats_;
+  out.snapshot_solves = counters_->solves.load();
+  out.snapshot_hits = counters_->hits.load();
+  return out;
 }
 
 }  // namespace pf::analysis

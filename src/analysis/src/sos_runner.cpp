@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "pf/dram/batched_column.hpp"
+#include "pf/spice/fault_injection.hpp"
 #include "pf/util/error.hpp"
 
 namespace pf::analysis {
@@ -19,7 +20,7 @@ namespace {
 // Step 1 of the recipe: the SOS's initializing states, applied as ordinary
 // (defective) operations. Runs BEFORE the floating-voltage injection, so
 // the resulting column state depends only on (configuration, initial
-// states) — the invariant behind SosSession's post-init snapshot cache.
+// states) — the invariant behind SosSession's post-initialization table.
 void apply_initial_states(DramColumn& column, const Sos& sos) {
   if (sos.initial_aggressor >= 0)
     column.write(DramColumn::kAggressorSameBl, sos.initial_aggressor);
@@ -27,17 +28,26 @@ void apply_initial_states(DramColumn& column, const Sos& sos) {
     column.write(DramColumn::kVictim, sos.initial_victim);
 }
 
-// Steps 2-4: floating-voltage injection, operations, observation and
-// classification. The column must already carry the initializing states.
-SosOutcome observe_sos(DramColumn& column, const dram::FloatingLine* line,
-                       double u, const Sos& sos, bool idle_before_observe);
+// Steps 3-4: the operations from `first_op` on, observation and
+// classification. The column must already carry the initializing states,
+// the floating-voltage injection (step 2) and operations [0, first_op),
+// which are writes. `after_op(k)` runs once operations [0, k) are applied.
+template <typename AfterOp>
+SosOutcome observe_sos(DramColumn& column, const Sos& sos,
+                       bool idle_before_observe, size_t first_op,
+                       AfterOp&& after_op);
+
+void inject(DramColumn& column, const dram::FloatingLine* line, double u) {
+  if (line != nullptr) column.apply_floating_voltage(*line, u);
+}
 
 }  // namespace
 
 SosOutcome run_sos_on(DramColumn& column, const dram::FloatingLine* line,
                       double u, const Sos& sos, bool idle_before_observe) {
   apply_initial_states(column, sos);
-  return observe_sos(column, line, u, sos, idle_before_observe);
+  inject(column, line, u);
+  return observe_sos(column, sos, idle_before_observe, 0, [](size_t) {});
 }
 
 namespace {
@@ -71,18 +81,18 @@ std::string non_finite_victim_message(double victim_v) {
   return os.str();
 }
 
-SosOutcome observe_sos(DramColumn& column, const dram::FloatingLine* line,
-                       double u, const Sos& sos, bool idle_before_observe) {
+template <typename AfterOp>
+SosOutcome observe_sos(DramColumn& column, const Sos& sos,
+                       bool idle_before_observe, size_t first_op,
+                       AfterOp&& after_op) {
   const int victim = DramColumn::kVictim;
   const int aggressor = DramColumn::kAggressorSameBl;
-
-  // 2. Floating-voltage injection.
-  if (line != nullptr) column.apply_floating_voltage(*line, u);
 
   // 3. Operations.
   int last_victim_read = -1;
   bool last_op_is_victim_read = false;
-  for (const Op& op : sos.ops) {
+  for (size_t k = first_op; k < sos.ops.size(); ++k) {
+    const Op& op = sos.ops[k];
     const int addr = op.target == CellRole::kVictim ? victim : aggressor;
     if (op.is_read()) {
       const int got = column.read(addr);
@@ -92,6 +102,7 @@ SosOutcome observe_sos(DramColumn& column, const dram::FloatingLine* line,
     }
     last_op_is_victim_read =
         op.is_read() && op.target == CellRole::kVictim;
+    after_op(k + 1);
   }
   // Operation-free SOS (state faults): give the floating line one precharge
   // cycle to act on the cell.
@@ -121,54 +132,80 @@ SosOutcome run_sos(const dram::DramParams& params, const dram::Defect& defect,
   return run_sos_on(column, line, u, sos, idle_before_observe);
 }
 
+namespace {
+
+/// Default post-initialization slots of a new session; sweeps and searches
+/// reserve() what their pre-pass needs.
+constexpr size_t kSessionTableSlots = 8;
+
+}  // namespace
+
 SosSession::SosSession(const dram::DramParams& params,
-                       const dram::Defect& defect)
-    : column_(params, defect) {}
+                       const dram::Defect& defect,
+                       std::shared_ptr<SnapshotTable::Counters> counters)
+    : column_(params, defect),
+      post_init_(std::make_shared<SnapshotTable>(kSessionTableSlots, column_,
+                                                 std::move(counters))) {}
 
 SosOutcome SosSession::run(double r_def, const spice::SimOptions& options,
                            const dram::FloatingLine* line, double u,
                            const Sos& sos, bool idle_before_observe,
-                           bool warm_start) {
+                           const PrefixSharing& sharing) {
   // Reconfigure through the compiled template: both setters are cheap
-  // no-ops when the value is already stamped, so consecutive points of one
-  // grid row (same R_def, same options) reset() via snapshot restore
-  // without solving anything.
+  // no-ops when the value is already stamped.
   column_.set_defect_resistance(r_def);
   column_.set_sim_options(options);
-  if (warm_start) {
-    column_.power_up();  // replay from the previous experiment's end state
+  if (spice::testing::armed()) {
+    // The injection harness counts transient runs: re-solve everything from
+    // a pristine column, exactly like a fresh build.
+    column_.reset();
     return run_sos_on(column_, line, u, sos, idle_before_observe);
   }
-  // Cold path with post-init snapshot cache: the floating voltage is only
-  // injected AFTER the initializing writes, so across one grid row (same
-  // R_def, numerics and initial states, varying U) every experiment shares
-  // the exact post-initialization state. Restoring it replays nothing and
-  // is bit-identical to reset() + re-solved writes (deterministic engine).
-  ensure_post_init_state(r_def, options, sos);
-  return observe_sos(column_, line, u, sos, idle_before_observe);
+  const SnapshotKey init_key = SnapshotKey::post_init(r_def, options, sos);
+
+  // Completion prefixes: keys of the states after the first k shared
+  // writes, k = 1..shared (writes only — a read's result is not a state).
+  size_t shared = 0;
+  std::vector<SnapshotKey> prefix_keys;
+  if (sharing.table != nullptr) {
+    SnapshotKey key = init_key;
+    key.injected = line != nullptr;
+    key.u = u;
+    while (shared < std::min(sharing.ops, sos.ops.size()) &&
+           sos.ops[shared].is_write()) {
+      key.push_write(sos.ops[shared++]);
+      prefix_keys.push_back(key);
+    }
+  }
+  size_t first_op = shared;
+  while (first_op > 0 &&
+         !sharing.table->restore(prefix_keys[first_op - 1], column_))
+    --first_op;
+  if (first_op == 0) {
+    ensure_post_init_state(init_key, sos);
+    inject(column_, line, u);
+  }
+  return observe_sos(column_, sos, idle_before_observe, first_op,
+                     [&](size_t done) {
+                       if (done <= shared)
+                         sharing.table->publish(prefix_keys[done - 1],
+                                                column_);
+                     });
 }
 
-void SosSession::ensure_post_init_state(double r_def,
-                                        const spice::SimOptions& options,
-                                        const Sos& sos) {
+void SosSession::prepare(double r_def, const spice::SimOptions& options,
+                         const Sos& sos) {
   column_.set_defect_resistance(r_def);
   column_.set_sim_options(options);
-  if (init_valid_ && r_def == init_r_ &&
-      sos.initial_victim == init_victim_ &&
-      sos.initial_aggressor == init_aggressor_ &&
-      spice::same_numerics(options, init_options_)) {
-    column_.restore_state(init_state_);
-    return;
-  }
-  init_valid_ = false;  // stays false if power-up or an init write throws
+  ensure_post_init_state(SnapshotKey::post_init(r_def, options, sos), sos);
+}
+
+void SosSession::ensure_post_init_state(const SnapshotKey& key,
+                                        const Sos& sos) {
+  if (post_init_->restore(key, column_)) return;
   column_.reset();  // bit-identical to a freshly built column
   apply_initial_states(column_, sos);
-  init_state_ = column_.save_state();
-  init_options_ = options;
-  init_r_ = r_def;
-  init_victim_ = sos.initial_victim;
-  init_aggressor_ = sos.initial_aggressor;
-  init_valid_ = true;
+  post_init_->publish(key, column_);  // not reached if a write throws
 }
 
 std::vector<SosSession::LaneOutcome> SosSession::run_batch(
@@ -180,7 +217,10 @@ std::vector<SosSession::LaneOutcome> SosSession::run_batch(
   constexpr size_t kMaxLanes = 32;
   std::vector<LaneOutcome> results(us.size());
   if (us.empty()) return results;
-  ensure_post_init_state(r_def, options, sos);
+  column_.set_defect_resistance(r_def);
+  column_.set_sim_options(options);
+  ensure_post_init_state(SnapshotKey::post_init(r_def, options, sos), sos);
+  const DramColumn::State init_state = column_.save_state();
   const int victim = DramColumn::kVictim;
   const int aggressor = DramColumn::kAggressorSameBl;
   for (size_t base = 0; base < us.size(); base += kMaxLanes) {
@@ -189,7 +229,7 @@ std::vector<SosSession::LaneOutcome> SosSession::run_batch(
     // Every lane starts from the SAME post-init snapshot a cold scalar
     // run() would restore — identical starting stats, so per-lane watchdog
     // trajectories match the scalar ones exactly.
-    for (size_t l = 0; l < lanes; ++l) batch.load_state(l, init_state_);
+    for (size_t l = 0; l < lanes; ++l) batch.load_state(l, init_state);
     if (line != nullptr)
       for (size_t l = 0; l < lanes; ++l)
         batch.apply_floating_voltage(l, *line, us[base + l]);

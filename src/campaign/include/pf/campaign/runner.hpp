@@ -18,7 +18,10 @@
 //     hit is journaled as such ("cached": true).
 //   * Shared-prefix session reuse: sweep jobs in the same row-family
 //     (defect topology + temperature) hand their compiled SosSession from
-//     job to job through an analysis::SessionCache, snapshot cache intact.
+//     job to job through an analysis::SessionCache, post-initialization
+//     snapshot table intact; custom jobs whose sweep dependencies share a
+//     family see it in DepContext::exec(), so their completion searches
+//     borrow the same session and table.
 //
 // Jobs are dispatched in deterministic topological order, one at a time —
 // per-job parallelism comes from the campaign's ExecutionPolicy::threads:
@@ -72,6 +75,15 @@ struct CampaignStats {
   size_t journal_quarantined = 0;  ///< unreadable journals moved aside
   size_t session_hits = 0;   ///< SessionCache take() hits (shared prefix)
   size_t session_misses = 0;
+  /// Post-initialization states solved into, and restored from, the
+  /// row-families' snapshot tables (pf/analysis/session_cache.hpp). Each
+  /// (family, R_def, numerics, initial states) key is solved once, so the
+  /// solve count does not depend on the thread count.
+  uint64_t snapshot_solves = 0;
+  uint64_t snapshot_hits = 0;
+
+  /// Every counter as one JSON object (pf_campaign prints it).
+  service::Json to_json() const;
 };
 
 /// Job-level progress event (the CLI's watch output).

@@ -48,7 +48,9 @@ class DepContext {
   virtual const service::Json& payload(const std::string& job_id) const = 0;
   /// The campaign's one ExecutionPolicy (CampaignOptions::exec): threads,
   /// solver retry, engine plan, cancellation token and deadline for the
-  /// experiments a job runs itself, e.g. a completion search.
+  /// experiments a job runs itself, e.g. a completion search. When the
+  /// job's sweep dependencies share one row-family, session_family names
+  /// it, so those experiments reuse the family's compiled session.
   virtual const analysis::ExecutionPolicy& exec() const = 0;
 };
 

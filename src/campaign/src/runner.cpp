@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <thread>
 
@@ -91,6 +92,8 @@ class Runner {
     const analysis::SessionCache::Stats ss = exec_.session_cache->stats();
     result_.stats.session_hits = ss.hits;
     result_.stats.session_misses = ss.misses;
+    result_.stats.snapshot_solves = ss.snapshot_solves;
+    result_.stats.snapshot_hits = ss.snapshot_hits;
     // Mark the journal cleanly complete — unless this was a fully restored
     // rerun of an already-clean journal (don't stack duplicate trailers).
     if (journal_ && !(journal_was_clean_ && journal_->records_appended() == 0))
@@ -356,7 +359,18 @@ class Runner {
     class Ctx : public DepContext {
      public:
       Ctx(Runner& runner, const CampaignJob& job)
-          : runner_(runner), job_(job) {}
+          : runner_(runner), job_(job), exec_(runner.exec_) {
+        // A job whose sweep dependencies share one row-family works in that
+        // family too: its experiments borrow the family's session and
+        // post-initialization table from the campaign's SessionCache.
+        std::set<std::string> families;
+        for (const std::string& dep : job.deps)
+          for (const CampaignJob& candidate : runner.spec_.jobs)
+            if (candidate.id == dep &&
+                candidate.kind == CampaignJob::Kind::kSweep)
+              families.insert(session_family(candidate.sweep));
+        if (families.size() == 1) exec_.session_family = *families.begin();
+      }
 
       const analysis::RegionMap& map(const std::string& job_id) const override {
         const CampaignJob& dep = dep_job(job_id, CampaignJob::Kind::kSweep);
@@ -379,7 +393,7 @@ class Runner {
       }
 
       const analysis::ExecutionPolicy& exec() const override {
-        return runner_.exec_;
+        return exec_;
       }
 
      private:
@@ -408,6 +422,7 @@ class Runner {
 
       Runner& runner_;
       const CampaignJob& job_;
+      analysis::ExecutionPolicy exec_;
     };
 
     const Ctx ctx(*this, job);
@@ -485,6 +500,23 @@ std::string CampaignResult::report(const CampaignSpec& spec) const {
     os << "\n";
   }
   return os.str();
+}
+
+Json CampaignStats::to_json() const {
+  JsonObject obj;
+  obj["done"] = Json(done);
+  obj["failed"] = Json(failed);
+  obj["blocked"] = Json(blocked);
+  obj["dedup_hits"] = Json(dedup_hits);
+  obj["resumed"] = Json(resumed);
+  obj["retries"] = Json(retries);
+  obj["journal_dropped"] = Json(journal_dropped);
+  obj["journal_quarantined"] = Json(journal_quarantined);
+  obj["session_hits"] = Json(session_hits);
+  obj["session_misses"] = Json(session_misses);
+  obj["snapshot_solves"] = Json(snapshot_solves);
+  obj["snapshot_hits"] = Json(snapshot_hits);
+  return Json(std::move(obj));
 }
 
 CampaignResult run_campaign(const CampaignSpec& spec,

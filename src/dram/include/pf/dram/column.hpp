@@ -42,8 +42,8 @@
 // Threading: distinct DramColumn instances share only the immutable
 // template, so they may be built and driven concurrently — the parallel
 // sweep engine (pf/analysis/execution.hpp) gives every worker its own
-// column via clone_fresh(), which copies the run state (cheap) and shares
-// the compiled template instead of re-running netlist construction and the
+// column via clone(), which copies the run state (cheap) and shares the
+// compiled template instead of re-running netlist construction and the
 // symbolic pass. A single instance is not thread-safe.
 #pragma once
 
@@ -93,12 +93,12 @@ class DramColumn {
 
   DramColumn(const DramParams& params, const Defect& defect);
 
-  /// A pristine column with the same parameters and defect — the per-worker
-  /// replication hook of the parallel sweep engine. Shares the compiled
-  /// template with *this (cheap run-state copy, no netlist rebuild, no
-  /// symbolic pass); its state is bit-identical to a freshly constructed
-  /// column's.
-  DramColumn clone_fresh() const;
+  /// A replica with the same parameters, defect and run state — the
+  /// per-worker replication hook of the parallel sweep engine. Shares the
+  /// compiled template with *this (cheap run-state copy, no netlist
+  /// rebuild, no symbolic pass, no power-up replay); waveform tracing is not
+  /// carried over. Follow with reset() for a pristine column.
+  DramColumn clone() const;
 
   const DramParams& params() const { return params_; }
   const Defect& defect() const { return defect_; }
@@ -142,6 +142,8 @@ class DramColumn {
     int buffer = 0;
   };
   State save_state() const;
+  /// The same snapshot written into `into`, reusing its storage.
+  void save_state(State& into) const;
   void restore_state(const State& state);
 
   /// Bring the column to a defined post-power-up state by replaying the

@@ -215,10 +215,9 @@ DramColumn::DramColumn(const DramParams& params, const Defect& defect)
   pristine_valid_ = true;
 }
 
-DramColumn DramColumn::clone_fresh() const {
+DramColumn DramColumn::clone() const {
   DramColumn copy(*this);
   copy.trace_ = nullptr;
-  copy.reset();
   return copy;
 }
 
@@ -256,6 +255,11 @@ void DramColumn::set_sim_options(const spice::SimOptions& options) {
 
 DramColumn::State DramColumn::save_state() const {
   return State{ckt_.save_state(), buffer_};
+}
+
+void DramColumn::save_state(State& into) const {
+  ckt_.save_state(into.ckt);
+  into.buffer = buffer_;
 }
 
 void DramColumn::restore_state(const State& state) {

@@ -158,7 +158,7 @@ class CircuitTemplate {
 /// Mutable run state over a shared CircuitTemplate. Copying a
 /// CompiledCircuit is cheap relative to recompiling (it duplicates vectors,
 /// never the symbolic pass) and yields an independent run state sharing the
-/// same template — this is how DramColumn::clone_fresh hands each sweep
+/// same template — this is how DramColumn::clone hands each sweep
 /// worker its own circuit. Not thread-safe itself: one CompiledCircuit per
 /// thread.
 class CompiledCircuit {
@@ -229,10 +229,15 @@ class CompiledCircuit {
     std::vector<double> v;
     std::vector<double> branch_i;
     std::vector<RampedLevel> sources;
+    /// One ramp per rail, in the template's rail order (ground and the
+    /// unknown nodes carry no ramp, so they are not stored).
     std::vector<RampedLevel> rails;
     SimStats stats;
   };
   State save_state() const;
+  /// Same snapshot, written into `into`: vectors already sized for this
+  /// template are overwritten in place (no allocation).
+  void save_state(State& into) const;
   /// Restore a snapshot taken on a circuit of the same template. The wall-
   /// clock watchdog anchor restarts at the next run_for (wall time is a
   /// bound, not part of the deterministic trajectory).

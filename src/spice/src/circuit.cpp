@@ -350,19 +350,27 @@ double CompiledCircuit::resistance(ParamHandle h) const {
 
 CompiledCircuit::State CompiledCircuit::save_state() const {
   State st;
-  st.t = t_;
-  st.dt = dt_;
-  st.v = v_;
-  st.branch_i = branch_i_;
-  st.sources = source_levels_;
-  st.rails = rail_levels_;
-  st.stats = stats_;
+  save_state(st);
   return st;
 }
 
+void CompiledCircuit::save_state(State& into) const {
+  into.t = t_;
+  into.dt = dt_;
+  into.v = v_;
+  into.branch_i = branch_i_;
+  into.sources = source_levels_;
+  const std::vector<NodeId>& rails = tpl_->rail_nodes_;
+  into.rails.resize(rails.size());
+  for (size_t i = 0; i < rails.size(); ++i)
+    into.rails[i] = rail_levels_[rails[i]];
+  into.stats = stats_;
+}
+
 void CompiledCircuit::restore_state(const State& state) {
+  const std::vector<NodeId>& rails = tpl_->rail_nodes_;
   PF_CHECK_MSG(state.v.size() == tpl_->n_nodes_ &&
-                   state.rails.size() == tpl_->n_nodes_ &&
+                   state.rails.size() == rails.size() &&
                    state.branch_i.size() == branch_i_.size() &&
                    state.sources.size() == source_levels_.size(),
                "state snapshot does not match this circuit's template");
@@ -371,7 +379,8 @@ void CompiledCircuit::restore_state(const State& state) {
   v_ = state.v;
   branch_i_ = state.branch_i;
   source_levels_ = state.sources;
-  rail_levels_ = state.rails;
+  for (size_t i = 0; i < rails.size(); ++i)
+    rail_levels_[rails[i]] = state.rails[i];
   stats_ = state.stats;
   worst_node_ = kGround;
   worst_dv_ = 0.0;

@@ -87,12 +87,13 @@ void BatchedTransient::load_state(size_t lane,
   check_lane(lane);
   const CircuitTemplate& T = *tpl_;
   PF_CHECK_MSG(state.v.size() == T.n_nodes_ &&
-                   state.rails.size() == T.n_nodes_ && state.branch_i.empty() &&
-                   state.sources.empty(),
+                   state.rails.size() == T.rail_nodes_.size() &&
+                   state.branch_i.empty() && state.sources.empty(),
                "state snapshot does not match this batch's template");
   if (!time_seeded_) {
     t_ = state.t;
-    rail_levels_ = state.rails;
+    for (size_t i = 0; i < T.rail_nodes_.size(); ++i)
+      rail_levels_[T.rail_nodes_[i]] = state.rails[i];
     time_seeded_ = true;
   } else {
     PF_CHECK_MSG(state.t == t_,

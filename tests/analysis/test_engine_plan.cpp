@@ -1,8 +1,7 @@
 // The EnginePlan API contract: resolved_plan pass-through and validation
-// (EnginePlan is the only spelling — the PR 8 deprecated circuit/warm_start
-// shims are gone), the batched-requires-reuse invariant, and the
-// SosSession::set_sim_options override travelling through clone() (the
-// per-worker fan-out path).
+// (EnginePlan is the only spelling), the batched-requires-reuse invariant,
+// and the SosSession::set_sim_options override travelling through clone()
+// (the per-worker fan-out path).
 #include <gtest/gtest.h>
 
 #include "pf/analysis/execution.hpp"
@@ -20,15 +19,12 @@ TEST(EnginePlan, ResolvedPlanPassesThroughExplicitPlanFields) {
   EnginePlan plan = resolved_plan(policy);
   EXPECT_EQ(plan.backend, SolverBackend::kScalar);
   EXPECT_EQ(plan.circuit_mode, CircuitMode::kReuse);
-  EXPECT_FALSE(plan.warm_start);
   EXPECT_FALSE(plan.adaptive);
 
   policy.plan.backend = SolverBackend::kBatched;
-  policy.plan.warm_start = true;
   policy.plan.adaptive = true;
   plan = resolved_plan(policy);
   EXPECT_EQ(plan.backend, SolverBackend::kBatched);
-  EXPECT_TRUE(plan.warm_start);
   EXPECT_TRUE(plan.adaptive);
 }
 
@@ -37,9 +33,9 @@ TEST(EnginePlan, ExplicitPlanIsPreservedVerbatim) {
   // pass-through + validation: an explicit plan must come back verbatim.
   ExecutionPolicy planned;
   planned.plan.circuit_mode = CircuitMode::kRebuild;
-  planned.plan.warm_start = true;
+  planned.plan.adaptive = true;
   EXPECT_EQ(resolved_plan(planned).circuit_mode, CircuitMode::kRebuild);
-  EXPECT_TRUE(resolved_plan(planned).warm_start);
+  EXPECT_TRUE(resolved_plan(planned).adaptive);
 }
 
 TEST(EnginePlan, BatchedBackendRequiresCircuitReuse) {

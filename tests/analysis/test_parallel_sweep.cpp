@@ -307,14 +307,14 @@ TEST(ParallelTable1, RowsIdenticalAcrossThreadCounts) {
 
 TEST(ParallelColumns, DistinctClonedColumnsRunConcurrently) {
   // The per-worker state model of the engine: distinct columns built from
-  // the same prototype (clone_fresh) must run concurrently without
+  // the same prototype (clone) must run concurrently without
   // interfering — every thread sees its own correct read-back.
   const dram::DramColumn prototype(DramParams{}, Defect::none());
   std::atomic<int> wrong{0};
   std::vector<std::thread> threads;
   for (int t = 0; t < 4; ++t) {
     threads.emplace_back([&prototype, &wrong, t] {
-      dram::DramColumn column = prototype.clone_fresh();
+      dram::DramColumn column = prototype.clone();
       const int value = t % 2;
       column.write(dram::DramColumn::kVictim, value);
       if (column.read(dram::DramColumn::kVictim) != value) ++wrong;

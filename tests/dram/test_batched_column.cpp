@@ -30,7 +30,7 @@ struct ScalarRef {
 
 ScalarRef scalar_reference(const DramColumn& donor, const FloatingLine& line,
                            double u) {
-  DramColumn col = donor.clone_fresh();
+  DramColumn col = donor.clone();
   col.write(0, 1);
   col.apply_floating_voltage(line, u);
   ScalarRef ref;
@@ -57,7 +57,7 @@ TEST(BatchedColumn, LockstepMatchesScalarBitForBit) {
   // Same experiment, one lockstep batch. Lanes are seeded from the state
   // AFTER the shared initializing write (exactly how the sweep backend
   // seeds a row), so run the write on a scalar clone first.
-  DramColumn seeded = donor.clone_fresh();
+  DramColumn seeded = donor.clone();
   seeded.write(0, 1);
   // A batch seeded pre-injection must replay the remaining ops identically;
   // the donor column passed to the constructor only provides the template
@@ -97,7 +97,7 @@ TEST(BatchedColumn, FullOperationSequenceMatchesScalar) {
 
   std::vector<ScalarRef> refs;
   for (double u : us) {
-    DramColumn col = donor.clone_fresh();
+    DramColumn col = donor.clone();
     col.apply_floating_voltage(lines[0], u);
     col.write(1, 0);
     col.write(0, 1);

@@ -31,9 +31,12 @@ TEST(FuzzMutation, PlantedCorruptionIsConvictedAndShrunk) {
   const FuzzCase c = fixed_case();
   // A silently WRONG solver on one grid point's experiment key: every
   // voltage mirrored, classification corrupted, nothing thrown. Only the
-  // differential check can see it.
+  // differential check can see it. The point sits in the upper R_def row:
+  // in the lower row (89 kOhm) the defect is too weak for a mirrored solve
+  // to change any cell's class, and an injected fault stays inside its own
+  // experiment (no state leaks to neighbouring points).
   inj::ScopedFaultPlan plan(
-      {{analysis::grid_point_key(0, 0),
+      {{analysis::grid_point_key(0, 1),
         {inj::InjectedFault::kCorruptVoltage, 1 << 30, 0, 3.3}}});
   const TrialResult r = run_differential_trial(c);
   ASSERT_FALSE(r.ok) << "planted kCorruptVoltage survived the oracle";
@@ -64,7 +67,7 @@ TEST(FuzzMutation, MinimalCasePassesOnceThePlanIsGone) {
   FuzzCase minimal;
   {
     inj::ScopedFaultPlan plan(
-        {{analysis::grid_point_key(0, 0),
+        {{analysis::grid_point_key(0, 1),
           {inj::InjectedFault::kCorruptVoltage, 1 << 30, 0, 3.3}}});
     minimal = shrink_case(c, [](const FuzzCase& cand) {
                 return !run_differential_trial(cand).ok;

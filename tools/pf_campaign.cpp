@@ -40,6 +40,9 @@
 //                      test's A/B artifact); "-" = stdout
 //   --quiet            no per-job progress on stderr
 //
+// On exit the campaign's counters (jobs, dedup, session and snapshot-table
+// reuse) go to stderr as one "campaign stats {...}" JSON line.
+//
 // Exit status: 0 every job DONE, 4 campaign completed but some jobs
 // FAILED/BLOCKED, 75 interrupted (resumable: rerun the same command),
 // 2 usage/invalid spec, 1 error.
@@ -193,6 +196,7 @@ int main(int argc, char** argv) {
                  "%zu failed, %zu blocked\n",
                  spec.name.c_str(), s.done, s.resumed, s.dedup_hits, s.failed,
                  s.blocked);
+    std::fprintf(stderr, "campaign stats %s\n", s.to_json().dump().c_str());
 
     if (table1 && result.all_done()) {
       const std::vector<pf::analysis::Table1Row> rows =
